@@ -46,7 +46,6 @@ pub mod dense;
 pub mod error;
 pub mod expr;
 pub mod parametric;
-pub mod presolve;
 pub mod problem;
 pub mod simplex;
 pub mod solution;
@@ -57,7 +56,6 @@ pub use certificate::{certify, certify_with, Certificate, CertificateError, Cert
 pub use error::{LpError, LpResult};
 pub use expr::LinExpr;
 pub use parametric::{solve_cap_ramp, RampOutcome};
-pub use presolve::{presolve, presolve_and_solve, Presolved};
 pub use problem::{Bound, Problem, Sense, VarId, VarKind};
 pub use simplex::{
     solve, solve_with, solve_with_basis, solve_with_context, Basis, LinearAlgebra, SolverContext,

@@ -50,10 +50,6 @@ pub struct SolveStats {
     /// the sparse engine, `m²` (the dense storage) for the dense engine.
     /// `factor_nnz / basis_nnz` is the average fill-in ratio.
     pub factor_nnz: u64,
-    /// Rows removed by presolve (0 when the caller bypassed presolve).
-    pub presolve_rows_dropped: u64,
-    /// Variable bounds tightened by presolve.
-    pub presolve_bounds_tightened: u64,
     /// Wall time spent in phase 1.
     pub phase1_time_s: f64,
     /// Wall time spent in phase 2.
@@ -109,8 +105,6 @@ impl SolveStats {
         self.warm_rejected += other.warm_rejected;
         self.basis_nnz += other.basis_nnz;
         self.factor_nnz += other.factor_nnz;
-        self.presolve_rows_dropped += other.presolve_rows_dropped;
-        self.presolve_bounds_tightened += other.presolve_bounds_tightened;
         self.phase1_time_s += other.phase1_time_s;
         self.phase2_time_s += other.phase2_time_s;
         self.wall_time_s += other.wall_time_s;

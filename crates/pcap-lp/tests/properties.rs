@@ -5,9 +5,7 @@
 //! strong duality plus independent primal feasibility checks. Small binary
 //! MIPs are cross-checked against exhaustive enumeration.
 
-use pcap_lp::{
-    presolve, solve, solve_mip, Bound, BranchOptions, LinExpr, LpError, Problem, Sense, VarId,
-};
+use pcap_lp::{solve, solve_mip, Bound, BranchOptions, LinExpr, LpError, Problem, Sense, VarId};
 use proptest::prelude::*;
 
 /// One random row: (terms, row-kind selector, rhs shift).
@@ -109,34 +107,6 @@ proptest! {
             objs.push(solve(&p).unwrap().objective);
         }
         prop_assert!(objs[1] <= objs[0] + 1e-9, "tight {} loose {}", objs[1], objs[0]);
-    }
-
-    /// Presolve never changes the optimum (or the feasibility verdict).
-    #[test]
-    fn presolve_is_equivalence_preserving(lp in random_lp()) {
-        let p = build(&lp);
-        let direct = solve(&p);
-        let via = presolve(&p).and_then(|pre| pre.solve_with(&Default::default()));
-        match (direct, via) {
-            (Ok(a), Ok(b)) => {
-                prop_assert!(
-                    (a.objective - b.objective).abs() / a.objective.abs().max(1.0) < 1e-7,
-                    "direct {} vs presolved {}",
-                    a.objective,
-                    b.objective
-                );
-                // The presolved solution is feasible for the original.
-                prop_assert!(p.max_violation(&b.values) < 1e-6);
-            }
-            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
-            (d, v) => {
-                return Err(TestCaseError::fail(format!(
-                    "verdict mismatch: direct ok={} presolved ok={}",
-                    d.is_ok(),
-                    v.is_ok()
-                )))
-            }
-        }
     }
 
     /// Branch-and-bound on small binary knapsacks matches brute force.

@@ -125,9 +125,15 @@ fn concurrent_duplicates_coalesce_to_one_solve_with_byte_identical_results() {
 #[test]
 fn overload_sheds_with_retry_hint_and_recovers() {
     // One worker, queue of one: a burst of distinct instances must
-    // overflow admission.
-    let (server, addr) =
-        start(ServerConfig { workers: 1, queue_cap: 1, ..ServerConfig::default() });
+    // overflow admission. The seeded `slow_solve` fault holds the worker
+    // on the first job for a second, so the burst meets a busy worker and
+    // a full queue however fast a solve is.
+    let (server, addr) = start(ServerConfig {
+        workers: 1,
+        queue_cap: 1,
+        fault_plan: Some("seed=7;slow_solve=1/1000#1".into()),
+        ..ServerConfig::default()
+    });
 
     let n = 12;
     let barrier = Arc::new(Barrier::new(n));
