@@ -70,44 +70,13 @@ fn main() {
     // Solver telemetry for the LP bounds behind this figure, aggregated
     // over every (benchmark, cap) cell of the sweep.
     let mut total = pcap_lp::SolveStats::default();
-    for b in &sweep {
-        for r in &b.rows {
-            if r.lp_stats.solves > 0 {
-                total.absorb(&r.lp_stats);
-            }
-        }
+    for r in sweep.iter().flat_map(|b| &b.rows) {
+        total.absorb(&r.lp_stats);
     }
     if total.solves > 0 {
-        let fill = if total.basis_nnz > 0 {
-            total.factor_nnz as f64 / total.basis_nnz as f64
-        } else {
-            0.0
-        };
-        println!(
-            "solver telemetry: {} window solves, {} simplex iterations \
-             ({} in phase 1), {} refactorizations, {:.3} s total solve wall \
-             time, warm starts used: {}, warm rejected: {}, \
-             basis nnz {} -> factor nnz {} (avg fill {:.2}x)",
-            total.solves,
-            total.iterations,
-            total.phase1_iterations,
-            total.refactorizations,
-            total.wall_time_s,
-            if total.warm_started { "yes" } else { "no" },
-            total.warm_rejected,
-            total.basis_nnz,
-            total.factor_nnz,
-            fill,
-        );
-        println!(
-            "ramp telemetry: {} breakpoints crossed, {} ramp pivots, \
-             {} caps answered by interpolation, {} interval skips, \
-             {} solves priced with Dantzig",
-            total.ramp_breakpoints,
-            total.ramp_steps,
-            total.caps_interpolated,
-            total.basis_interval_skips,
-            total.pricing_dantzig,
-        );
+        println!("solver telemetry, summed over every benchmark x cap cell:");
+        for (name, value) in total.fields() {
+            println!("  {name:<22} {value}");
+        }
     }
 }

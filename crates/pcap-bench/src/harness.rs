@@ -72,8 +72,8 @@ pub struct CapRow {
     pub per_socket_w: f64,
     pub times: MethodTimes,
     /// Simplex telemetry aggregated over every LP window solved at this cap
-    /// (zeroed when the cap is infeasible or the row came from a pre-v2
-    /// cache; check `lp_stats.solves > 0` before reporting).
+    /// (zeroed when the cap is infeasible; check `lp_stats.solves > 0`
+    /// before reporting).
     pub lp_stats: SolveStats,
 }
 
@@ -402,16 +402,15 @@ pub fn cached_sweep_exact(
     cfg: &ExperimentConfig,
     per_socket_caps: &[f64],
 ) -> Vec<BenchSweep> {
-    // `v5` extends the v4 format with the sweep engine: the mode is in the
-    // key (a per-cap differential run must not reuse a ramp cache or vice
-    // versa) *and* an explicit per-row column — v4 rows were silently
-    // mode-less, so a stale cache could masquerade as either engine's
-    // output. Three ramp telemetry columns (ramp_breakpoints, ramp_steps,
-    // caps_interpolated) and one `#breakpoints` line per benchmark complete
-    // the format; caches written by earlier versions (or against a
-    // since-edited machine model) mismatch the key and recompute. Warm-up/
-    // measured stay in the key separately because the split (not just the
-    // total) shifts the measured-region boundary.
+    // `v6`: after the key, a `#columns` line names every row column, one
+    // per `SolveStats` field among them, and rows are parsed by column
+    // name. The sweep engine is in the key (a per-cap differential run must
+    // not reuse a ramp cache or vice versa) and in a per-row column; one
+    // `#breakpoints` line per benchmark completes the format. Caches
+    // written by earlier versions, for another counter table, or against a
+    // since-edited machine model mismatch and recompute. Warm-up/measured
+    // stay in the key separately because the split (not just the total)
+    // shifts the measured-region boundary.
     let engine = match lp_engine_requested() {
         LinearAlgebra::Sparse => "sparse",
         LinearAlgebra::Dense => "dense",
@@ -421,7 +420,7 @@ pub fn cached_sweep_exact(
         SweepMode::PerCap => "percap",
     };
     let key = format!(
-        "#sweep v5 fp={:016x} engine={} mode={} ranks={} warmup={} measured={} seed={} caps={:?}",
+        "#sweep v6 fp={:016x} engine={} mode={} ranks={} warmup={} measured={} seed={} caps={:?}",
         sweep_fingerprint(machine, cfg, per_socket_caps),
         engine,
         mode,
@@ -437,8 +436,9 @@ pub fn cached_sweep_exact(
                 return parsed;
             }
             // A matching key with an unparsable body means the cache was
-            // truncated or corrupted mid-write: fall through and re-solve.
-            eprintln!("[sweep] cache at {} is incomplete or corrupt; recomputing", path.display());
+            // truncated or corrupted mid-write, or its columns are another
+            // counter table's: fall through and re-solve.
+            eprintln!("[sweep] cache at {} does not parse; recomputing", path.display());
         } else if text.starts_with("#sweep ") {
             eprintln!(
                 "[sweep] cache at {} is stale (old format or parameters); recomputing",
@@ -447,37 +447,27 @@ pub fn cached_sweep_exact(
         }
     }
     let mut out = Vec::new();
-    let mut text = key.clone();
-    text.push('\n');
+    let mut text = format!("{key}\n#columns\t{}\n", sweep_columns().join("\t"));
     for bench in Benchmark::ALL {
         eprintln!("[sweep] running {} ...", bench.name());
         let (rows, breakpoints) =
             evaluate_benchmark_exact(bench, machine, cfg, per_socket_caps, true);
         for r in &rows {
             let f = |v: Option<f64>| v.map(|x| format!("{x:.9}")).unwrap_or_else(|| "-".into());
-            let s = &r.lp_stats;
+            let t = &r.times;
             text.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.6}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{mode}",
                 bench.name(),
                 r.per_socket_w,
-                f(r.times.lp),
-                f(r.times.static_),
-                f(r.times.conductor),
-                f(r.times.config_only),
-                s.iterations,
-                s.phase1_iterations,
-                s.refactorizations,
-                s.wall_time_s,
-                u64::from(s.warm_started),
-                s.solves,
-                s.warm_rejected,
-                s.basis_nnz,
-                s.factor_nnz,
-                mode,
-                s.ramp_breakpoints,
-                s.ramp_steps,
-                s.caps_interpolated,
+                f(t.lp),
+                f(t.static_),
+                f(t.conductor),
+                f(t.config_only),
             ));
+            for (_, value) in r.lp_stats.fields() {
+                text.push_str(&format!("\t{value}"));
+            }
+            text.push('\n');
         }
         // `{}` is Rust's shortest-round-trip float formatting: the parsed
         // breakpoints are bit-identical to the computed ones. The line
@@ -498,17 +488,32 @@ pub fn cached_sweep_exact(
     out
 }
 
-/// Parses a v5 cache body, returning `None` unless it is **complete**: a
+/// The row columns of a v6 cache, in writing order: the benchmark, the
+/// cap, the four method times, the sweep mode, then every `SolveStats`
+/// field by its name.
+fn sweep_columns() -> Vec<&'static str> {
+    let head = ["bench", "w_per_socket", "lp", "static", "conductor", "config_only", "mode"];
+    head.into_iter().chain(SolveStats::FIELDS.iter().copied()).collect()
+}
+
+/// Parses a v6 cache body, returning `None` unless it is **complete**: a
 /// file truncated at a line boundary (e.g. a crashed writer) or a row with
 /// mangled telemetry parses cleanly line-by-line, and silently returning
-/// the partial grid would feed the figure binaries short data. Every
-/// benchmark must therefore appear with exactly the requested cap grid, in
-/// order, carry its `#breakpoints` line, and every telemetry field —
-/// including the explicit sweep-mode column — must parse strictly.
+/// the partial grid would feed the figure binaries short data. The
+/// `#columns` line must name every column exactly once; every benchmark
+/// must then appear with exactly the requested cap grid, in order, carry
+/// its `#breakpoints` line, and every row value — including the explicit
+/// sweep-mode column — must parse strictly under its column's name.
 fn parse_sweep(text: &str, expected_caps: &[f64]) -> Option<Vec<BenchSweep>> {
+    let mut lines = text.lines().skip(1);
+    let header: Vec<&str> = lines.next()?.strip_prefix("#columns\t")?.split('\t').collect();
+    let columns = sweep_columns();
+    if header.len() != columns.len() || !columns.iter().all(|c| header.contains(c)) {
+        return None;
+    }
     let mut map: Vec<BenchSweep> = Vec::new();
     let mut bps: Vec<(Benchmark, usize, Vec<f64>)> = Vec::new();
-    for line in text.lines().skip(1) {
+    for line in lines {
         if let Some(rest) = line.strip_prefix("#breakpoints\t") {
             let mut cols = rest.split('\t');
             let name = cols.next()?;
@@ -530,52 +535,39 @@ fn parse_sweep(text: &str, expected_caps: &[f64]) -> Option<Vec<BenchSweep>> {
             continue;
         }
         let cols: Vec<&str> = line.split('\t').collect();
-        if cols.len() != 19 {
+        if cols.len() != header.len() {
             return None;
         }
-        let bench = Benchmark::ALL.iter().copied().find(|b| b.name() == cols[0])?;
-        let cap: f64 = cols[1].parse().ok()?;
-        let f = |s: &str| -> Option<Option<f64>> {
+        let time = |s: &str| -> Option<Option<f64>> {
             if s == "-" {
                 Some(None)
             } else {
                 s.parse::<f64>().ok().map(Some)
             }
         };
-        let warm_started = match cols[10] {
-            "1" => true,
-            "0" => false,
-            _ => return None, // anything else is corruption, not "cold"
+        let mut bench = None;
+        let mut row = CapRow {
+            per_socket_w: 0.0,
+            times: MethodTimes::default(),
+            lp_stats: SolveStats::default(),
         };
-        // The mode column must name a real engine; v4 rows (no such
-        // column) already failed the width check above.
-        if cols[15] != "ramp" && cols[15] != "percap" {
-            return None;
+        for (&name, &value) in header.iter().zip(&cols) {
+            match name {
+                "bench" => bench = Benchmark::ALL.iter().copied().find(|b| b.name() == value),
+                "w_per_socket" => row.per_socket_w = value.parse().ok()?,
+                "lp" => row.times.lp = time(value)?,
+                "static" => row.times.static_ = time(value)?,
+                "conductor" => row.times.conductor = time(value)?,
+                "config_only" => row.times.config_only = time(value)?,
+                // The mode column must name a real engine.
+                "mode" if value == "ramp" || value == "percap" => {}
+                "mode" => return None,
+                // Strict per type: garbage in a flag is corruption, not
+                // "false".
+                field => row.lp_stats.set_field(field, value)?,
+            }
         }
-        let row = CapRow {
-            per_socket_w: cap,
-            times: MethodTimes {
-                lp: f(cols[2])?,
-                static_: f(cols[3])?,
-                conductor: f(cols[4])?,
-                config_only: f(cols[5])?,
-            },
-            lp_stats: SolveStats {
-                iterations: cols[6].parse().ok()?,
-                phase1_iterations: cols[7].parse().ok()?,
-                refactorizations: cols[8].parse().ok()?,
-                wall_time_s: cols[9].parse().ok()?,
-                warm_started,
-                solves: cols[11].parse().ok()?,
-                warm_rejected: cols[12].parse().ok()?,
-                basis_nnz: cols[13].parse().ok()?,
-                factor_nnz: cols[14].parse().ok()?,
-                ramp_breakpoints: cols[16].parse().ok()?,
-                ramp_steps: cols[17].parse().ok()?,
-                caps_interpolated: cols[18].parse().ok()?,
-                ..Default::default()
-            },
-        };
+        let bench = bench?;
         match map.iter_mut().find(|b| b.bench == bench) {
             Some(b) => b.rows.push(row),
             None => map.push(BenchSweep {
@@ -632,6 +624,7 @@ pub const SWEEP_CAPS: [f64; 6] = [30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
 mod tests {
     use super::*;
     use pcap_core::solve_sweep;
+    use pcap_lp::StatValue;
 
     #[test]
     fn cached_sweep_roundtrips() {
@@ -656,17 +649,17 @@ mod tests {
                 if let (Some(x), Some(y)) = (a.times.lp, b.times.lp) {
                     assert!((x - y).abs() < 1e-6);
                 }
-                // Telemetry survives the TSV round trip.
-                assert_eq!(a.lp_stats.iterations, b.lp_stats.iterations);
-                assert_eq!(a.lp_stats.refactorizations, b.lp_stats.refactorizations);
-                assert_eq!(a.lp_stats.solves, b.lp_stats.solves);
-                assert_eq!(a.lp_stats.warm_started, b.lp_stats.warm_started);
-                assert_eq!(a.lp_stats.warm_rejected, b.lp_stats.warm_rejected);
-                assert_eq!(a.lp_stats.basis_nnz, b.lp_stats.basis_nnz);
-                assert_eq!(a.lp_stats.factor_nnz, b.lp_stats.factor_nnz);
-                assert_eq!(a.lp_stats.ramp_breakpoints, b.lp_stats.ramp_breakpoints);
-                assert_eq!(a.lp_stats.ramp_steps, b.lp_stats.ramp_steps);
-                assert_eq!(a.lp_stats.caps_interpolated, b.lp_stats.caps_interpolated);
+                // Every telemetry field survives the TSV round trip, bit
+                // for bit.
+                let (fa, fb) = (a.lp_stats.fields(), b.lp_stats.fields());
+                assert_eq!(fa.len(), SolveStats::FIELDS.len());
+                for ((name, x), (_, y)) in fa.iter().zip(&fb) {
+                    let same = match (x, y) {
+                        (StatValue::F64(x), StatValue::F64(y)) => x.to_bits() == y.to_bits(),
+                        _ => x == y,
+                    };
+                    assert!(same, "{name}: {x} written, {y} read back");
+                }
                 assert!(a.lp_stats.basis_nnz > 0, "nnz telemetry missing");
             }
         }
@@ -707,27 +700,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A v6 body over `caps` for all four benchmarks: every row carries
+    /// `warm` in `warm_started`, `mode` in the mode column and one ramp
+    /// breakpoint; every benchmark has a one-value breakpoint line.
+    fn v6_body(caps: &[f64], warm: &str, mode: &str) -> String {
+        let mut text = format!("#key\n#columns\t{}\n", sweep_columns().join("\t"));
+        for bench in Benchmark::ALL {
+            for cap in caps {
+                text.push_str(&format!("{}\t{cap}\t1.0\t1.1\t1.2\t-\t{mode}", bench.name()));
+                for &field in SolveStats::FIELDS {
+                    let value = match field {
+                        "warm_started" => warm,
+                        "ramp_breakpoints" => "1",
+                        _ => "0",
+                    };
+                    text.push_str(&format!("\t{value}"));
+                }
+                text.push('\n');
+            }
+            text.push_str(&format!("#breakpoints\t{}\t1\t205.5\n", bench.name()));
+        }
+        text
+    }
+
     /// Garbage in the `warm_started` column used to parse as `false`; it
     /// must reject the cache instead. Same for a bogus sweep-mode column.
     #[test]
     fn mangled_telemetry_is_rejected() {
         let caps = [50.0, 80.0];
-        let f = |warm: &str, mode: &str| {
-            let mut text = String::from("#key\n");
-            for bench in Benchmark::ALL {
-                for cap in caps {
-                    text.push_str(&format!(
-                        "{}\t{cap}\t1.0\t1.1\t1.2\t-\t10\t4\t1\t0.001000\t{warm}\t2\t0\t30\t36\t{mode}\t1\t2\t0\n",
-                        bench.name(),
-                    ));
-                }
-                text.push_str(&format!("#breakpoints\t{}\t1\t205.5\n", bench.name()));
-            }
-            text
-        };
+        let f = |warm: &str, mode: &str| v6_body(&caps, warm, mode);
         let parsed = parse_sweep(&f("1", "ramp"), &caps).expect("well-formed cache must parse");
         assert!(parsed.iter().all(|b| b.breakpoints == [205.5] && b.breakpoints_total == 1));
         assert!(parsed.iter().all(|b| b.rows[0].lp_stats.ramp_breakpoints == 1));
+        assert!(parsed.iter().all(|b| b.rows[0].lp_stats.warm_started));
         // A breakpoint line whose count disagrees with its values is
         // corruption, not a short list.
         let miscounted = f("1", "ramp").replace("\t1\t205.5", "\t2\t205.5");
@@ -743,34 +748,38 @@ mod tests {
             parse_sweep(&f("0", "ramp"), &[50.0, 80.0, 90.0]).is_none(),
             "missing caps must reject"
         );
+        // A header naming a column the counter table lacks is another
+        // table's cache.
+        let renamed = f("1", "ramp").replacen("\tsolves\t", "\tsolved\t", 1);
+        assert!(parse_sweep(&renamed, &caps).is_none(), "unknown column must reject");
     }
 
-    /// Migration: a v4-era cache — old key line, 15-column mode-less rows,
-    /// no breakpoint lines — must be rejected by the parser and regenerated
+    /// Migration: a v5-era cache — old key line, 19 positional columns, no
+    /// `#columns` line — must be rejected by the parser and regenerated
     /// (not silently accepted) by `cached_sweep_exact`. This is the same
     /// contract the store's `pcaps1`→`pcaps2` migration pins.
     #[test]
-    fn v4_cache_is_rejected_and_regenerated() {
+    fn v5_cache_is_rejected_and_regenerated() {
         let caps = [50.0, 80.0];
-        // v4 body: no mode column, no ramp counters, no breakpoint lines.
-        let mut v4 = String::from(
-            "#sweep v4 fp=0123456789abcdef engine=sparse ranks=2 warmup=1 measured=1 \
-             seed=23573 caps=[50.0, 80.0]\n",
+        let mut v5 = String::from(
+            "#sweep v5 fp=0123456789abcdef engine=sparse mode=ramp ranks=2 warmup=1 \
+             measured=1 seed=23573 caps=[50.0, 80.0]\n",
         );
         for bench in Benchmark::ALL {
             for cap in caps {
-                v4.push_str(&format!(
-                    "{}\t{cap}\t1.0\t1.1\t1.2\t-\t10\t4\t1\t0.001000\t1\t2\t0\t30\t36\n",
+                v5.push_str(&format!(
+                    "{}\t{cap}\t1.0\t1.1\t1.2\t-\t10\t4\t1\t0.001000\t1\t2\t0\t30\t36\tramp\t1\t2\t0\n",
                     bench.name(),
                 ));
             }
+            v5.push_str(&format!("#breakpoints\t{}\t1\t205.5\n", bench.name()));
         }
-        assert!(parse_sweep(&v4, &caps).is_none(), "v4 rows must not parse as v5");
+        assert!(parse_sweep(&v5, &caps).is_none(), "v5 rows must not parse as v6");
 
-        let dir = std::env::temp_dir().join(format!("pcap-sweep-v4mig-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("pcap-sweep-v5mig-{}", std::process::id()));
         let path = dir.join("sweep.tsv");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, &v4).unwrap();
+        std::fs::write(&path, &v5).unwrap();
         let cfg = ExperimentConfig {
             ranks: 2,
             warmup_iterations: 1,
@@ -784,13 +793,18 @@ mod tests {
             assert_eq!(b.rows.len(), caps.len());
         }
         let rewritten = std::fs::read_to_string(&path).unwrap();
-        let first = rewritten.lines().next().unwrap();
-        assert!(first.starts_with("#sweep v5 "), "cache must be rewritten as v5: {first}");
-        assert!(first.contains(" mode="), "v5 key must carry the sweep mode: {first}");
+        let mut lines = rewritten.lines();
+        let first = lines.next().unwrap();
+        assert!(first.starts_with("#sweep v6 "), "cache must be rewritten as v6: {first}");
+        assert!(first.contains(" mode="), "v6 key must carry the sweep mode: {first}");
+        let columns = lines.next().unwrap();
+        for field in SolveStats::FIELDS {
+            assert!(columns.split('\t').any(|c| c == *field), "no {field} column: {columns}");
+        }
         assert!(
             rewritten.lines().filter(|l| l.starts_with("#breakpoints\t")).count()
                 == Benchmark::ALL.len(),
-            "v5 cache must carry one breakpoint line per benchmark"
+            "v6 cache must carry one breakpoint line per benchmark"
         );
         // And the rewritten cache round-trips, breakpoints included.
         let again = cached_sweep_exact(&path, &m, &cfg, &caps);

@@ -21,11 +21,12 @@
 //! structure crossing a collective some ranks skip), so it degrades
 //! gracefully to larger windows instead of producing wrong answers.
 
-use crate::fixed_lp::{solve_window, FixedLpOptions, Window};
+use crate::fixed_lp::{solve_window, FixedLpOptions, Window, WindowSolution};
 use crate::frontiers::TaskFrontiers;
 use crate::schedule::LpSchedule;
 use crate::CoreResult;
 use pcap_dag::{EdgeId, TaskGraph, VertexId};
+use pcap_lp::SolveStats;
 use pcap_machine::MachineSpec;
 
 /// Splits the DAG into windows between consecutive global sync vertices,
@@ -130,24 +131,41 @@ pub fn solve_decomposed(
     opts: &FixedLpOptions,
 ) -> CoreResult<LpSchedule> {
     let windows = windows_at_syncs(graph);
-    let mut vertex_times = vec![0.0_f64; graph.num_vertices()];
-    let mut choices = vec![None; graph.num_edges()];
-    let mut offset = 0.0;
-    let mut stats = pcap_lp::SolveStats::default();
-    for w in &windows {
-        let ws = solve_window(graph, machine, frontiers, cap_w, w, opts)?;
+    let solved = windows.iter().map(|w| solve_window(graph, machine, frontiers, cap_w, w, opts));
+    assemble_windows(graph.num_vertices(), graph.num_edges(), cap_w, solved)
+}
+
+/// Chains window solutions, in window order, into one whole-run schedule
+/// at `cap_w`: each window's times shift by the makespans of the windows
+/// before it, task choices merge, telemetry folds, and the first error
+/// wins — no window after it is pulled from `windows`.
+pub(crate) fn assemble_windows(
+    num_vertices: usize,
+    num_edges: usize,
+    cap_w: f64,
+    windows: impl IntoIterator<Item = CoreResult<WindowSolution>>,
+) -> CoreResult<LpSchedule> {
+    let mut schedule = LpSchedule {
+        makespan_s: 0.0,
+        vertex_times: vec![0.0; num_vertices],
+        choices: vec![None; num_edges],
+        cap_w,
+        stats: SolveStats::default(),
+    };
+    for ws in windows {
+        let ws = ws?;
         for (v, t) in ws.times {
-            vertex_times[v.index()] = offset + t;
+            schedule.vertex_times[v.index()] = schedule.makespan_s + t;
         }
-        for (i, c) in ws.choices.into_iter().enumerate() {
-            if let Some(c) = c {
-                choices[i] = Some(c);
+        for (e, c) in ws.choices.into_iter().enumerate() {
+            if c.is_some() {
+                schedule.choices[e] = c;
             }
         }
-        offset += ws.makespan_s;
-        stats.absorb(&ws.stats);
+        schedule.makespan_s += ws.makespan_s;
+        schedule.stats.absorb(&ws.stats);
     }
-    Ok(LpSchedule { makespan_s: offset, vertex_times, choices, cap_w, stats })
+    Ok(schedule)
 }
 
 #[cfg(test)]

@@ -100,18 +100,8 @@ pub fn solve_fixed_order(
     opts: &FixedLpOptions,
 ) -> CoreResult<LpSchedule> {
     let window = Window::whole(graph);
-    let ws = solve_window(graph, machine, frontiers, cap_w, &window, opts)?;
-    let mut vertex_times = vec![0.0; graph.num_vertices()];
-    for (v, t) in ws.times {
-        vertex_times[v.index()] = t;
-    }
-    Ok(LpSchedule {
-        makespan_s: ws.makespan_s,
-        vertex_times,
-        choices: ws.choices,
-        cap_w,
-        stats: ws.stats,
-    })
+    let ws = solve_window(graph, machine, frontiers, cap_w, &window, opts);
+    crate::decompose::assemble_windows(graph.num_vertices(), graph.num_edges(), cap_w, [ws])
 }
 
 /// Result of [`WindowLp::solve_grid_ramp`]: one window solved over a whole
@@ -126,7 +116,9 @@ pub struct RampGrid {
     /// Between consecutive breakpoints the window makespan is affine in
     /// the cap.
     pub breakpoints: Vec<f64>,
-    /// Caps answered by per-cap fallback instead of the ramp.
+    /// Caps answered by per-cap fallback instead of the ramp: the sum of
+    /// [`SolveStats::ramp_fallbacks`] over the points (infeasible caps
+    /// carry no stats, so they are not counted).
     pub fallback_caps: u64,
 }
 
@@ -302,7 +294,7 @@ impl WindowLp {
             warm,
             ctx,
         );
-        let points = out
+        let points: Vec<_> = out
             .points
             .into_iter()
             .map(|r| match r {
@@ -310,7 +302,9 @@ impl WindowLp {
                 Err(e) => Err(CoreError::from(e)),
             })
             .collect();
-        RampGrid { points, breakpoints: out.breakpoints, fallback_caps: out.fallback_caps }
+        let fallback_caps =
+            points.iter().flatten().map(|(ws, _)| ws.stats.ramp_fallbacks).sum::<u64>();
+        RampGrid { points, breakpoints: out.breakpoints, fallback_caps }
     }
 
     /// Independent cold re-solve at `cap_w` with the LP-level duality

@@ -21,7 +21,10 @@
 //!   refactorization entirely ([`pcap_lp::SolveStats::factor_reuses`]);
 //! * distinct caps are independent, so the grid is split into contiguous
 //!   chunks solved by **scoped worker threads**, warm-starting within each
-//!   chunk and collecting results in deterministic input order.
+//!   chunk and collecting results in deterministic input order. Every
+//!   chunk after the first also solves the cap before it and drops that
+//!   point, so its ramp walks the interval between the chunks and the
+//!   breakpoint list does not depend on the worker count.
 //!
 //! The results are identical to the sequential cold-start loop: warm and
 //! cold solves may terminate at different optimal bases — or, at a
@@ -34,7 +37,7 @@
 //! [`SweepOptions::certify`] two-tier gate) checks down to the bit pattern
 //! of every vertex time.
 
-use crate::decompose::windows_at_syncs;
+use crate::decompose::{assemble_windows, windows_at_syncs};
 use crate::fixed_lp::{FixedLpOptions, Window, WindowLp};
 use crate::frontiers::TaskFrontiers;
 use crate::schedule::LpSchedule;
@@ -202,7 +205,9 @@ pub fn solve_sweep_exact(
 
     // Contiguous chunks keep warm-start/ramp locality (adjacent caps share a
     // worker) and make ordered collection trivial: chunk k of the output is
-    // exactly chunk k of the input grid, whatever the thread timing.
+    // exactly chunk k of the input grid, whatever the thread timing. A chunk
+    // after the first starts one cap early, so the interval from the last
+    // cap of the chunk before is walked too, and drops that point.
     let chunk = n.div_ceil(workers);
     crossbeam::thread::scope(|scope| {
         let windows = &windows;
@@ -210,7 +215,12 @@ pub fn solve_sweep_exact(
             .map(|k| (k * chunk, ((k + 1) * chunk).min(n)))
             .filter(|&(lo, hi)| lo < hi)
             .map(|(lo, hi)| {
-                scope.spawn(move |_| sweep_chunk(graph, frontiers, windows, caps_w, lo..hi, opts))
+                let start = lo.saturating_sub(1);
+                scope.spawn(move |_| {
+                    let mut r = sweep_chunk(graph, frontiers, windows, caps_w, start..hi, opts);
+                    r.points.drain(..lo - start);
+                    r
+                })
             })
             .collect();
         let mut points = Vec::with_capacity(n);
@@ -369,41 +379,19 @@ impl SweepContext {
         }
 
         // Re-bucket: assemble each cap across windows exactly like
-        // `solve_one` (offset chaining, stats folding, first window error
-        // wins).
-        let mut points = Vec::with_capacity(ncaps);
-        for (ci, &cap_w) in caps_w.iter().enumerate() {
-            let mut vertex_times = vec![0.0_f64; self.num_vertices];
-            let mut choices = vec![None; self.num_edges];
-            let mut offset = 0.0;
-            let mut stats = SolveStats::default();
-            let mut failure = None;
-            for window in per_window.iter_mut() {
-                match window[ci].take().expect("each (window, cap) cell is consumed once") {
-                    Ok((ws, _)) => {
-                        for (v, t) in ws.times {
-                            vertex_times[v.index()] = offset + t;
-                        }
-                        for (e, c) in ws.choices.into_iter().enumerate() {
-                            if let Some(c) = c {
-                                choices[e] = Some(c);
-                            }
-                        }
-                        offset += ws.makespan_s;
-                        stats.absorb(&ws.stats);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            let schedule = match failure {
-                Some(e) => Err(e),
-                None => Ok(LpSchedule { makespan_s: offset, vertex_times, choices, cap_w, stats }),
-            };
-            points.push(SweepPoint { cap_w, schedule });
-        }
+        // `solve_one`.
+        let points = caps_w
+            .iter()
+            .enumerate()
+            .map(|(ci, &cap_w)| {
+                let solved = per_window.iter_mut().map(|window| {
+                    let cell = window[ci].take().expect("each (window, cap) cell is consumed once");
+                    cell.map(|(ws, _)| ws)
+                });
+                let schedule = assemble_windows(self.num_vertices, self.num_edges, cap_w, solved);
+                SweepPoint { cap_w, schedule }
+            })
+            .collect();
 
         breakpoints.sort_by(f64::total_cmp);
         breakpoints.dedup_by(|a, b| a.to_bits() == b.to_bits());
@@ -414,48 +402,20 @@ impl SweepContext {
     /// context's LPs and warm bases. `frontiers` must be the instance the
     /// context was built from.
     pub fn solve_one(&mut self, frontiers: &TaskFrontiers, cap_w: f64) -> SweepPoint {
-        let mut vertex_times = vec![0.0_f64; self.num_vertices];
-        let mut choices = vec![None; self.num_edges];
-        let mut offset = 0.0;
-        let mut stats = SolveStats::default();
-        let mut failure = None;
-        for (wi, lp) in self.lps.iter_mut().enumerate() {
-            let warm = if self.opts.warm_start { self.bases[wi].as_ref() } else { None };
+        let (opts, bases, ctxs) = (&self.opts, &mut self.bases, &mut self.solver_ctxs);
+        let solved = self.lps.iter_mut().enumerate().map(|(wi, lp)| {
+            let warm = if opts.warm_start { bases[wi].as_ref() } else { None };
             let warm_used = warm.is_some();
-            match lp.solve_at_with(frontiers, cap_w, warm, &mut self.solver_ctxs[wi]) {
-                Ok((ws, basis)) => {
-                    if self.opts.certify && warm_used {
-                        if let Err(e) = certify_against_cold(lp, frontiers, cap_w, &ws, &basis, wi)
-                        {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                    for (v, t) in ws.times {
-                        vertex_times[v.index()] = offset + t;
-                    }
-                    for (e, c) in ws.choices.into_iter().enumerate() {
-                        if let Some(c) = c {
-                            choices[e] = Some(c);
-                        }
-                    }
-                    offset += ws.makespan_s;
-                    stats.absorb(&ws.stats);
-                    self.bases[wi] = Some(basis);
-                }
-                Err(e) => {
-                    // Keep the previous basis: the next (e.g. higher) cap
-                    // may be feasible again and still benefits from the
-                    // last successful one.
-                    failure = Some(e);
-                    break;
-                }
+            // On an error the previous basis stays: the next (e.g. higher)
+            // cap may be feasible again and still benefits from it.
+            let (ws, basis) = lp.solve_at_with(frontiers, cap_w, warm, &mut ctxs[wi])?;
+            if opts.certify && warm_used {
+                certify_against_cold(lp, frontiers, cap_w, &ws, &basis, wi)?;
             }
-        }
-        let schedule = match failure {
-            Some(e) => Err(e),
-            None => Ok(LpSchedule { makespan_s: offset, vertex_times, choices, cap_w, stats }),
-        };
+            bases[wi] = Some(basis);
+            Ok(ws)
+        });
+        let schedule = assemble_windows(self.num_vertices, self.num_edges, cap_w, solved);
         SweepPoint { cap_w, schedule }
     }
 }
@@ -642,15 +602,22 @@ mod tests {
         );
     }
 
+    /// Chunking changes neither the order of the points nor the breakpoint
+    /// list: every chunk's ramp also walks the interval from the chunk
+    /// before it.
     #[test]
     fn results_keep_input_order_across_worker_counts() {
         let (g, m, fr) = setup();
         let caps = cap_grid();
+        let bits = |r: &SweepResult| r.breakpoints.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        let mut one_worker = None;
         for workers in [1, 2, 4, 16] {
             let opts = SweepOptions { workers, warm_start: true, ..Default::default() };
-            let sweep = solve_sweep(&g, &m, &fr, &caps, &opts);
-            let got: Vec<f64> = sweep.iter().map(|p| p.cap_w).collect();
+            let sweep = solve_sweep_exact(&g, &m, &fr, &caps, &opts);
+            let got: Vec<f64> = sweep.points.iter().map(|p| p.cap_w).collect();
             assert_eq!(got, caps, "workers={workers}");
+            let reference = one_worker.get_or_insert_with(|| bits(&sweep));
+            assert_eq!(&bits(&sweep), reference, "workers={workers}: breakpoints differ");
         }
     }
 
@@ -937,7 +904,40 @@ mod tests {
                 "cap {}",
                 a.cap_w
             );
+            // Every window solve behind every cap was a fallback, and the
+            // count reaches the point's stats.
+            let s = &a.schedule.as_ref().unwrap().stats;
+            assert_eq!(s.ramp_fallbacks, s.solves, "cap {}", a.cap_w);
+            assert_eq!(b.schedule.as_ref().unwrap().stats.ramp_fallbacks, 0);
         }
+        // The window-level count is the sum over its feasible points.
+        let windows = windows_at_syncs(&g);
+        let mut lp = WindowLp::build(&g, &fr, &windows[0], &FixedLpOptions::default());
+        let mut ctx = pcap_lp::SolverContext::new();
+        let grid = lp.solve_grid_ramp(&fr, &caps, None, &mut ctx);
+        assert_eq!(grid.fallback_caps, caps.len() as u64);
+    }
+
+    /// A reused context answering a second grid anchors each window with
+    /// one warm dual-phase solve; the ramp emissions after it must not
+    /// repeat that solve's pricing flag.
+    #[test]
+    fn reused_context_counts_each_dantzig_solve_once() {
+        let m = MachineSpec::e5_2670();
+        let g = comd::generate(&AppParams { ranks: 32, iterations: 3, seed: 1 });
+        let fr = TaskFrontiers::build(&g, &m);
+        let grid = |lo: f64| (0..8).map(|k| (lo + 5.0 * k as f64) * 32.0).collect::<Vec<_>>();
+        let mut ctx = SweepContext::new(&g, &fr, SweepOptions::default());
+        ctx.solve_grid(&fr, &grid(60.0));
+        let second = ctx.solve_grid(&fr, &grid(27.0));
+        let windows = windows_at_syncs(&g).len() as u64;
+        let total = total_stats(&second);
+        assert!(
+            total.pricing_dantzig <= windows,
+            "{} Dantzig-priced solves over {} window anchors",
+            total.pricing_dantzig,
+            windows
+        );
     }
 
     /// Certification in ramp mode covers every ramp-produced point — a

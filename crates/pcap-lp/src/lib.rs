@@ -61,5 +61,5 @@ pub use simplex::{
     solve, solve_with, solve_with_basis, solve_with_context, Basis, LinearAlgebra, SolverContext,
     SolverOptions,
 };
-pub use solution::{Solution, SolveStats, Status};
+pub use solution::{Solution, SolveStats, StatValue, Status};
 pub use sparse::{CscMatrix, SparseLu, SparseLuOptions};

@@ -63,10 +63,6 @@ pub struct RampOutcome {
     /// Between consecutive breakpoints the optimum is affine in the cap.
     /// Intervals answered by per-cap fallback contribute no breakpoints.
     pub breakpoints: Vec<f64>,
-    /// Caps answered by a full per-cap solve instead of the ramp: the ramp
-    /// declined (numerical guard) or the grid was not strictly ascending.
-    /// The anchor solve and infeasible caps are not counted.
-    pub fallback_caps: u64,
 }
 
 /// Solves `problem` at every cap in `caps_w` with one parametric ramp.
@@ -74,7 +70,7 @@ pub struct RampOutcome {
 /// `power_rows` are the constraint rows whose upper bound carries the cap
 /// (every other row/bound must be cap-independent); `caps_w` should be
 /// strictly ascending — otherwise every cap is answered by a warm-chained
-/// per-cap solve (counted in [`RampOutcome::fallback_caps`]). `problem` is
+/// per-cap solve (stamped [`SolveStats::ramp_fallbacks`]). `problem` is
 /// borrowed mutably because each emission rewrites the power rows' bounds to
 /// the cap being answered, exactly as a per-cap caller would, so extraction
 /// and certification see the right problem; on return the bounds are those
@@ -93,11 +89,7 @@ pub fn solve_cap_ramp(
     warm: Option<&Basis>,
     ctx: &mut SolverContext,
 ) -> RampOutcome {
-    let mut out = RampOutcome {
-        points: Vec::with_capacity(caps_w.len()),
-        breakpoints: Vec::new(),
-        fallback_caps: 0,
-    };
+    let mut out = RampOutcome { points: Vec::with_capacity(caps_w.len()), breakpoints: Vec::new() };
     let set_cap = |problem: &mut Problem, cap: f64| {
         for &row in power_rows {
             problem.set_constraint_bound(row, Bound::Upper(cap));
@@ -112,13 +104,13 @@ pub fn solve_cap_ramp(
         for &cap in caps_w {
             set_cap(problem, cap);
             match solve_with_context(problem, opts, chain.as_ref(), ctx) {
-                Ok((sol, basis)) => {
+                Ok((mut sol, basis)) => {
+                    sol.stats.ramp_fallbacks = 1;
                     chain = Some(basis.clone());
                     out.points.push(Ok((sol, basis)));
                 }
                 Err(e) => out.points.push(Err(e)),
             }
-            out.fallback_caps += 1;
         }
         return out;
     }
@@ -156,9 +148,7 @@ pub fn solve_cap_ramp(
         let s = ctx.simplex_mut().expect("anchored ramp has a primed context");
         let advanced = s.ramp_advance(power_rows, prev_cap, cap, &mut bps_here, &mut steps_here);
         let emitted = match advanced {
-            Ok(true) => {
-                emit_at(s, problem, power_rows, cap, opts, &mut prev, &bps_here, steps_here)
-            }
+            Ok(true) => emit_at(s, problem, power_rows, cap, opts, &mut prev),
             Ok(false) => Err(LpError::Certificate {
                 detail: "parametric ramp declined; falling back to per-cap".into(),
             }),
@@ -166,10 +156,13 @@ pub fn solve_cap_ramp(
         };
         match emitted {
             Ok((mut sol, basis)) => {
+                bps_here.dedup_by(|a, b| a.to_bits() == b.to_bits());
                 sol.stats.wall_time_s = t_cap.elapsed().as_secs_f64();
+                sol.stats.ramp_breakpoints = bps_here.len() as u64;
+                sol.stats.ramp_steps = steps_here;
+                sol.stats.caps_interpolated = (steps_here == 0) as u64;
                 chain = Some(basis.clone());
                 prev_cap = cap;
-                bps_here.dedup_by(|a, b| a.to_bits() == b.to_bits());
                 out.breakpoints.extend(bps_here);
                 out.points.push(Ok((sol, basis)));
             }
@@ -178,12 +171,12 @@ pub fn solve_cap_ramp(
                 // PerCap path (warm solve from the last good basis). The
                 // solve rebinds the context, leaving it in the same state a
                 // per-cap sweep would — so the ramp resumes from here.
-                out.fallback_caps += 1;
                 set_cap(problem, cap);
                 match solve_with_context(problem, opts, chain.as_ref(), ctx) {
-                    Ok((sol, basis)) => {
-                        chain = Some(basis.clone());
+                    Ok((mut sol, basis)) => {
                         prev = sol.stats;
+                        sol.stats.ramp_fallbacks = 1;
+                        chain = Some(basis.clone());
                         prev_cap = cap;
                         out.points.push(Ok((sol, basis)));
                     }
@@ -203,10 +196,10 @@ pub fn solve_cap_ramp(
     out
 }
 
-/// Finishes a ramped basis at grid cap `cap`: canonicalize, extract, stamp
-/// per-emission stats, certify. Any error routes the caller to the per-cap
-/// fallback.
-#[allow(clippy::too_many_arguments)]
+/// Finishes a ramped basis at grid cap `cap`: canonicalize, extract, take
+/// the per-emission counter delta, certify. Any error routes the caller to
+/// the per-cap fallback. The caller stamps the emission's wall time and
+/// its walk (breakpoints, ramp steps).
 fn emit_at(
     s: &mut Simplex,
     problem: &mut Problem,
@@ -214,10 +207,7 @@ fn emit_at(
     cap: f64,
     opts: &SolverOptions,
     prev: &mut SolveStats,
-    bps: &[f64],
-    steps: u64,
 ) -> LpResult<(Solution, Basis)> {
-    let t0 = Instant::now();
     for &row in power_rows {
         problem.set_constraint_bound(row, Bound::Upper(cap));
     }
@@ -254,30 +244,7 @@ fn emit_at(
     // anchor solve); report this emission's delta so sweep aggregation sums
     // to the true totals.
     let raw = sol.stats;
-    sol.stats.iterations = raw.iterations.saturating_sub(prev.iterations);
-    sol.stats.phase1_iterations = raw.phase1_iterations.saturating_sub(prev.phase1_iterations);
-    sol.stats.refactorizations = raw.refactorizations.saturating_sub(prev.refactorizations);
-    sol.stats.factor_reuses = raw.factor_reuses.saturating_sub(prev.factor_reuses);
-    sol.stats.warm_rejected = raw.warm_rejected.saturating_sub(prev.warm_rejected);
-    sol.stats.basis_nnz = raw.basis_nnz.saturating_sub(prev.basis_nnz);
-    sol.stats.factor_nnz = raw.factor_nnz.saturating_sub(prev.factor_nnz);
-    sol.stats.basis_interval_skips =
-        raw.basis_interval_skips.saturating_sub(prev.basis_interval_skips);
-    sol.stats.phase1_time_s = 0.0;
-    sol.stats.phase2_time_s = 0.0;
-    sol.iterations = sol.stats.iterations;
-    sol.stats.warm_started = true;
-    let mut distinct = 0u64;
-    let mut last: Option<u64> = None;
-    for &b in bps {
-        if last != Some(b.to_bits()) {
-            distinct += 1;
-            last = Some(b.to_bits());
-        }
-    }
-    sol.stats.ramp_breakpoints = distinct;
-    sol.stats.ramp_steps = steps;
-    sol.stats.caps_interpolated = (steps == 0) as u64;
+    sol.stats = raw.since(prev);
     *prev = raw;
 
     if opts.certify || cfg!(debug_assertions) {
@@ -285,7 +252,6 @@ fn emit_at(
             .map_err(|e| LpError::Certificate { detail: e.to_string() })?;
         sol.stats.certified = 1;
     }
-    sol.stats.wall_time_s = t0.elapsed().as_secs_f64();
     Ok((sol, s.snapshot_basis()))
 }
 

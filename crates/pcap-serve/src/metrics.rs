@@ -154,12 +154,9 @@ impl Metrics {
     }
 
     /// Snapshot for the stats response. `queue_depth` and `cache_entries`
-    /// are point-in-time gauges supplied by the caller.
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        cache_entries: usize,
-    ) -> Vec<(&'static str, String)> {
+    /// are point-in-time gauges supplied by the caller; every
+    /// [`SolveStats`] field follows as `lp_<field>`.
+    pub fn snapshot(&self, queue_depth: usize, cache_entries: usize) -> Vec<(String, String)> {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let hits = load(&self.cache_hits);
         let misses = load(&self.cache_misses);
@@ -167,7 +164,7 @@ impl Metrics {
         let lookups = hits + misses + coal;
         let hit_rate = if lookups == 0 { 0.0 } else { (hits + coal) as f64 / lookups as f64 };
         let inner = self.inner.lock().unwrap();
-        vec![
+        let counters = [
             ("requests", load(&self.requests).to_string()),
             ("parse_errors", load(&self.parse_errors).to_string()),
             ("too_large", load(&self.too_large).to_string()),
@@ -193,20 +190,15 @@ impl Metrics {
             ("store_recovered", load(&self.store_recovered).to_string()),
             ("store_quarantined", load(&self.store_quarantined).to_string()),
             ("injected_disconnects", load(&self.injected_disconnects).to_string()),
-            ("lp_solves", inner.lp.solves.to_string()),
-            ("lp_certified", inner.lp.certified.to_string()),
-            ("lp_iterations", inner.lp.iterations.to_string()),
-            ("lp_phase1_iterations", inner.lp.phase1_iterations.to_string()),
-            ("lp_refactorizations", inner.lp.refactorizations.to_string()),
-            ("lp_factor_reuses", inner.lp.factor_reuses.to_string()),
-            ("lp_warm_rejected", inner.lp.warm_rejected.to_string()),
-            ("lp_basis_nnz", inner.lp.basis_nnz.to_string()),
-            ("lp_factor_nnz", inner.lp.factor_nnz.to_string()),
+            // The same total as `lp_wall_time_s` below, under the key
+            // clients already read.
             ("lp_wall_s", format!("{:.6}", inner.lp.wall_time_s)),
             ("p50_ms", format!("{:.3}", inner.latency.quantile_ms(0.50))),
             ("p99_ms", format!("{:.3}", inner.latency.quantile_ms(0.99))),
             ("uptime_s", format!("{:.3}", self.start.elapsed().as_secs_f64())),
-        ]
+        ];
+        let lp = inner.lp.fields().into_iter().map(|(k, v)| (format!("lp_{k}"), v.to_string()));
+        counters.into_iter().map(|(k, v)| (k.to_string(), v)).chain(lp).collect()
     }
 }
 
@@ -269,6 +261,9 @@ mod tests {
         assert_eq!(get("lp_basis_nnz"), "120");
         assert_eq!(get("lp_factor_nnz"), "150");
         assert_eq!(get("cache_hit_rate"), "0.5000");
+        for field in SolveStats::FIELDS {
+            assert!(snap.iter().any(|(k, _)| *k == format!("lp_{field}")), "no lp_{field}");
+        }
         assert!(get("p50_ms").parse::<f64>().unwrap() > 0.0);
         assert!(get("p99_ms").parse::<f64>().unwrap() > 0.0);
         assert!(get("uptime_s").parse::<f64>().unwrap() >= 0.0);

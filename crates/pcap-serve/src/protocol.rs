@@ -303,9 +303,10 @@ pub fn json_escape(s: &str) -> String {
 /// Renders a flat object from key/value pairs; every value is emitted as a
 /// JSON string except bare `true`/`false`, which stay literals (so `ok`
 /// reads naturally).
-pub fn render_object(pairs: &[(&str, String)]) -> String {
+pub fn render_object<K: AsRef<str>>(pairs: &[(K, String)]) -> String {
     let mut out = String::from("{");
     for (i, (k, v)) in pairs.iter().enumerate() {
+        let k = k.as_ref();
         if i > 0 {
             out.push(',');
         }

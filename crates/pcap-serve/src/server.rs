@@ -415,8 +415,7 @@ fn handle_line(shared: &Shared, line: &str) -> (String, bool) {
             if let Some(store) = &shared.store {
                 shared.metrics.store_quarantined.store(store.quarantines(), Ordering::Relaxed);
             }
-            let mut pairs: Vec<(&'static str, String)> =
-                vec![("ok", "true".into()), ("op", "stats".into())];
+            let mut pairs = vec![("ok".to_string(), "true".into()), ("op".into(), "stats".into())];
             pairs.extend(shared.metrics.snapshot(shared.queue.depth(), shared.cache.len()));
             (render_object(&pairs), false)
         }
